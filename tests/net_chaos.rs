@@ -96,6 +96,18 @@ fn kill_mid_handoff_conserves_at_1_2_and_8_workers() {
     );
     assert_eq!(one, chaos_log(2), "2 workers diverged");
     assert_eq!(one, chaos_log(8), "8 workers diverged");
+    // Golden values: equal worker counts alone would not catch a protocol
+    // change that shifts every worker count the same way.
+    assert_eq!(one.0.len(), 8237, "fault log length");
+    assert_eq!(
+        one.1,
+        "NetStats { msgs_sent: 74708, msgs_delivered: 67912, msgs_lost: 6007, \
+         msgs_duplicated: 1392, transport_closed: 2181, retries: 7924, ack_timeouts: 0, \
+         handshake_timeouts: 822, handoffs_started: 840, handoffs_applied: 431, \
+         acks_received: 840, execs_applied: 409, crashes: 8, restarts: 8, stalls: 0, \
+         requests_expired: 0, heartbeats: 472 } \
+         Conservation { minted: 409, executed: 409, discarded: 0, pooled: 0, escrowed: 0 }"
+    );
 }
 
 #[test]

@@ -40,15 +40,84 @@ fn all_supported_faults() -> FaultConfig {
 }
 
 fn run(workers: usize, faults: Option<FaultConfig>, seed: u64) -> ShardedOutcome {
+    run_policy(PolicyKind::qcr_default(), workers, faults, seed)
+}
+
+fn run_policy(
+    policy: PolicyKind,
+    workers: usize,
+    faults: Option<FaultConfig>,
+    seed: u64,
+) -> ShardedOutcome {
     let source = ContactSource::homogeneous(96, 0.01, 1_500.0);
-    run_trial_sharded(
-        &config(faults),
-        &source,
-        PolicyKind::qcr_default(),
-        seed,
-        workers,
-    )
-    .expect("supported configuration")
+    run_trial_sharded(&config(faults), &source, policy, seed, workers)
+        .expect("supported configuration")
+}
+
+/// Golden values of one sharded trial: event digest, contacts processed,
+/// mandates created, transmissions and final replica counts. Comparing
+/// worker counts with each other cannot catch a change to the protocol
+/// that moves every worker count alike; these literals can.
+type Pin = (u64, u64, u64, u64, [u32; 12]);
+
+fn assert_pinned(out: &ShardedOutcome, pin: Pin, what: &str) {
+    let (digest, contacts, mandates, transmissions, replicas) = pin;
+    assert_eq!(out.event_digest, digest, "{what}: event digest");
+    assert_eq!(out.contacts_processed, contacts, "{what}: contacts");
+    let m = &out.outcome.metrics;
+    assert_eq!(m.mandates_created, mandates, "{what}: mandates created");
+    assert_eq!(m.transmissions, transmissions, "{what}: transmissions");
+    assert_eq!(
+        out.outcome.final_replicas, replicas,
+        "{what}: final replicas"
+    );
+}
+
+fn faulty_pin(seed: u64) -> Pin {
+    match seed {
+        3 => (
+            0x47ed_4a9e_e7c4_fa83,
+            45_736,
+            164,
+            163,
+            [19, 8, 8, 4, 6, 4, 11, 6, 4, 5, 2, 8],
+        ),
+        17 => (
+            0x0267_4abb_7be5_e124,
+            46_400,
+            173,
+            173,
+            [10, 10, 7, 7, 9, 4, 5, 5, 10, 2, 2, 3],
+        ),
+        _ => unreachable!("no pin for seed {seed}"),
+    }
+}
+
+fn clean_pin(seed: u64) -> Pin {
+    match seed {
+        3 => (
+            0xb476_ced5_75bc_4535,
+            68_382,
+            116,
+            116,
+            [35, 24, 17, 12, 17, 13, 14, 15, 8, 13, 12, 12],
+        ),
+        11 => (
+            0x42b8_aaad_469c_8373,
+            68_589,
+            117,
+            117,
+            [25, 26, 15, 14, 15, 18, 11, 9, 14, 12, 16, 17],
+        ),
+        17 => (
+            0xbb4e_c7ab_9c29_7208,
+            68_483,
+            139,
+            139,
+            [31, 20, 18, 16, 17, 14, 12, 16, 16, 13, 12, 7],
+        ),
+        _ => unreachable!("no pin for seed {seed}"),
+    }
 }
 
 /// Every observable artifact of a trial is a pure function of the seed,
@@ -64,8 +133,10 @@ fn worker_count_never_changes_any_bit() {
         );
         assert!(baseline.outcome.metrics.contacts_dropped > 0);
         assert!(baseline.contacts_processed > 1_000);
+        assert_pinned(&baseline, faulty_pin(seed), "1 worker");
         for workers in [2, 8] {
             let other = run(workers, Some(all_supported_faults()), seed);
+            assert_pinned(&other, faulty_pin(seed), &format!("{workers} workers"));
             assert_eq!(
                 other.event_digest, baseline.event_digest,
                 "{workers} workers"
@@ -94,14 +165,35 @@ fn worker_count_never_changes_any_bit() {
 /// too — it skips the admission code entirely, so it needs its own gate.
 #[test]
 fn clean_runs_are_worker_stable() {
-    let baseline = run(1, None, 11);
-    assert!(baseline.fault_log.is_empty());
-    for workers in [2, 8] {
-        let other = run(workers, None, 11);
-        assert_eq!(other.event_digest, baseline.event_digest);
-        assert_eq!(
-            other.outcome.metrics.observed_rate_series(),
-            baseline.outcome.metrics.observed_rate_series()
+    for seed in [11, 3, 17] {
+        let baseline = run(1, None, seed);
+        assert!(baseline.fault_log.is_empty());
+        assert_pinned(&baseline, clean_pin(seed), "1 worker");
+        for workers in [2, 8] {
+            let other = run(workers, None, seed);
+            assert_eq!(other.event_digest, baseline.event_digest);
+            assert_eq!(
+                other.outcome.metrics.observed_rate_series(),
+                baseline.outcome.metrics.observed_rate_series()
+            );
+            assert_pinned(&other, clean_pin(seed), &format!("{workers} workers"));
+        }
+    }
+    // Passive replication shares the mandate machinery under a constant
+    // reaction; pin it with faults live.
+    let passive = PolicyKind::Passive { replicas: 1.0 };
+    for workers in [1, 2, 8] {
+        let out = run_policy(passive.clone(), workers, Some(all_supported_faults()), 3);
+        assert_pinned(
+            &out,
+            (
+                0x8209_1e3c_d2aa_8af6,
+                45_736,
+                793,
+                793,
+                [47, 25, 13, 10, 8, 7, 9, 1, 5, 6, 6, 4],
+            ),
+            &format!("passive, {workers} workers"),
         );
     }
 }
