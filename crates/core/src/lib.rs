@@ -35,6 +35,8 @@
 //!   matrices with feasibility invariants.
 //! * [`demand`] — content-popularity models (Pareto/Zipf, …) and per-node
 //!   demand profiles `π_{i,n}`.
+//! * [`hash`] — FNV-1a (64- and 32-bit), shared by content hashes, wire
+//!   checksums and event digests.
 //! * [`rng`] — a deterministic, dependency-free xoshiro256++ PRNG and the
 //!   samplers used throughout the workspace (exponential, Pareto, Poisson,
 //!   alias method). Bit-stable results across toolchain upgrades.
@@ -65,6 +67,7 @@
 
 pub mod allocation;
 pub mod demand;
+pub mod hash;
 pub mod numeric;
 pub mod rng;
 pub mod solver;

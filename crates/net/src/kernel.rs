@@ -28,7 +28,7 @@ use impatience_obs::{Recorder, Sink};
 use impatience_sim::config::{ContactSource, SimConfig};
 use impatience_sim::contact_bin::BatchedContacts;
 use impatience_sim::faults::{FaultState, MsgFaults, MSG_STREAM_ID};
-use impatience_sim::policy::reaction_scale;
+use impatience_sim::policy::QcrParams;
 use impatience_sim::state::SimState;
 use impatience_sim::Metrics;
 
@@ -409,23 +409,17 @@ pub fn run_net_trial_observed<S: Sink>(
     state.seed_sticky_and_fill(&mut rng);
 
     let utility = config.utility.clone();
+    // ψ is driven by the protocol utility (the engine's override, else
+    // the welfare utility) at the source's mean rate, as in the engine.
     let protocol = config
         .protocol_utility
         .clone()
         .unwrap_or_else(|| config.utility.clone());
-    let mu_ref = {
-        let m = source.mean_rate();
-        if m > 0.0 {
-            m
-        } else {
-            1.0
-        }
-    };
-    let scale = reaction_scale(
-        &net.qcr,
-        protocol.as_ref(),
+    let qcr = QcrParams::new(
+        net.qcr.clone(),
+        protocol,
         servers,
-        mu_ref,
+        source.mean_rate(),
         config.items,
         config.rho,
     );
@@ -561,9 +555,7 @@ pub fn run_net_trial_observed<S: Sink>(
                     timers: &mut timers,
                     rec: &mut *rec,
                     utility: utility.as_ref(),
-                    protocol: protocol.as_ref(),
-                    scale,
-                    mu_ref,
+                    qcr: &qcr,
                     cfg: net,
                     next_xfer: &mut next_xfer,
                     fatal: &mut fatal,

@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use impatience_core::rng::Xoshiro256;
 use impatience_core::utility::DelayUtility;
 use impatience_obs::{Recorder, Sink};
+use impatience_sim::policy::QcrParams;
 use impatience_sim::state::SimState;
 use impatience_sim::Metrics;
 
@@ -129,13 +130,9 @@ pub(crate) struct Ctx<'a, S: Sink> {
     /// The welfare utility (books `h(wait)` gains, like the engine's
     /// `config.utility`).
     pub utility: &'a dyn DelayUtility,
-    /// The protocol utility driving ψ (the engine's `protocol_utility`
-    /// override, falling back to the welfare utility).
-    pub protocol: &'a dyn DelayUtility,
-    /// ψ multiplier shared with the engine ([`impatience_sim::policy::reaction_scale`]).
-    pub scale: f64,
-    /// Reference contact rate fed to ψ (same value the engine passes).
-    pub mu_ref: f64,
+    /// The QCR protocol the engines run (mint, pool cap, routing split),
+    /// built from the engine's protocol utility and reference rate.
+    pub qcr: &'a QcrParams,
     /// Runtime knobs.
     pub cfg: &'a NetConfig,
     /// Global transfer-id counter.
@@ -393,27 +390,18 @@ impl Node {
         if mine == 0 || self.xfer_in_flight(peer, item) {
             return;
         }
-        let theirs = self.peer_pool(peer, item);
-        let cap = ctx.cfg.qcr.mandate_cap;
-        let total = (mine + theirs).min(cap);
+        let total = (mine + self.peer_pool(peer, item)).min(ctx.qcr.cap());
         let me = self.id as usize;
-        let holds_here = ctx.state.caches.holds(me, item);
-        let holds_peer = self.peer_holds(peer, item);
         let sticky = ctx.state.sticky_owner[item as usize];
-        let keep = match (holds_here, holds_peer) {
-            (true, false) => total,
-            (false, true) => 0,
-            _ => {
-                if holds_here && sticky == me {
-                    (total * 2).div_ceil(3)
-                } else if holds_peer && sticky == peer as usize {
-                    total - (total * 2).div_ceil(3)
-                } else {
-                    // Even split; the lower id keeps an odd leftover.
-                    total / 2 + u64::from(total % 2 == 1 && self.id < peer)
-                }
-            }
-        };
+        // The lower id keeps an odd leftover.
+        let keep = QcrParams::split(
+            total,
+            ctx.state.caches.holds(me, item),
+            self.peer_holds(peer, item),
+            sticky == me,
+            sticky == peer as usize,
+            || self.id < peer,
+        );
         if mine > keep {
             let give = mine - keep;
             self.start_xfer(ctx, peer, item, give, false);
@@ -550,7 +538,13 @@ impl Node {
                 ctx.metrics.record_fulfillment(ctx.t, gain);
                 ctx.rec
                     .fulfillment(ctx.t, self.id, item, wait, (p.queries + 1) as u32);
-                self.mint(ctx, item, p.queries + 1);
+                ctx.ledger.minted += ctx.qcr.mint(
+                    &mut self.pool,
+                    item,
+                    p.queries + 1,
+                    ctx.metrics,
+                    &mut self.rng,
+                );
             }
             // The granting peer certainly holds the item now.
             if let Some(ex) = self.exchanges.get_mut(&from) {
@@ -561,45 +555,6 @@ impl Node {
                 }
             }
             self.route_item(ctx, from, item);
-        }
-    }
-
-    /// Mint ψ(y)-scaled mandates — the engine's `Qcr::mint` verbatim,
-    /// with the conservation ledger recording what actually entered the
-    /// pool.
-    fn mint<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, item: u32, queries: u64) {
-        if queries == 0 {
-            return;
-        }
-        let servers = ctx.state.caches.cache_nodes() as f64;
-        let raw = match ctx.cfg.qcr.reaction {
-            impatience_sim::policy::Reaction::Psi => {
-                ctx.protocol.psi(queries as f64, servers, ctx.mu_ref) * ctx.scale
-            }
-            impatience_sim::policy::Reaction::Constant(k) => k * ctx.cfg.qcr.gain_scale,
-        };
-        if raw.is_nan() || raw <= 0.0 {
-            return;
-        }
-        let mut count = raw.floor() as u64;
-        if self.rng.bernoulli(raw - count as f64) {
-            count += 1;
-        }
-        let cap = ctx.cfg.qcr.mandate_cap;
-        if count > cap {
-            ctx.metrics.mandate_cap_hits += 1;
-            count = cap;
-        }
-        if count > 0 {
-            let pool = self.pool.entry(item).or_insert(0);
-            let before = *pool;
-            *pool = (*pool + count).min(cap);
-            let added = *pool - before;
-            ctx.metrics.mandates_created += added;
-            ctx.ledger.minted += added;
-            if *pool == 0 {
-                self.pool.remove(&item);
-            }
         }
     }
 
@@ -631,12 +586,7 @@ impl Node {
                 0 // cache can't accept (all slots sticky)
             }
         } else {
-            let cap = ctx.cfg.qcr.mandate_cap;
-            let pool = self.pool.entry(item).or_insert(0);
-            let before = *pool;
-            *pool = (*pool + count).min(cap);
-            let overflow = count - (*pool - before);
-            ctx.ledger.discarded += overflow;
+            ctx.ledger.discarded += count - ctx.qcr.deposit(&mut self.pool, item, count);
             ctx.stats.handoffs_applied += 1;
             count // custody fully consumed (overflow destroyed here)
         };
@@ -653,12 +603,7 @@ impl Node {
         ctx.stats.acks_received += 1;
         let returned = x.count.saturating_sub(consumed);
         if returned > 0 {
-            let cap = ctx.cfg.qcr.mandate_cap;
-            let pool = self.pool.entry(x.item).or_insert(0);
-            let before = *pool;
-            *pool = (*pool + returned).min(cap);
-            let overflow = returned - (*pool - before);
-            ctx.ledger.discarded += overflow;
+            ctx.ledger.discarded += returned - ctx.qcr.deposit(&mut self.pool, x.item, returned);
         }
     }
 

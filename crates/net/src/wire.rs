@@ -17,6 +17,8 @@
 
 use std::fmt;
 
+use impatience_core::hash::fnv1a32;
+
 /// Frame marker; bump on any layout change.
 pub const MAGIC: u8 = 0xA9;
 
@@ -226,18 +228,6 @@ fn put_u32_list(buf: &mut Vec<u8>, xs: &[u32]) {
     for &x in xs {
         buf.extend_from_slice(&x.to_le_bytes());
     }
-}
-
-/// FNV-1a, 32-bit. Any single-bit flip in the covered bytes changes the
-/// hash: each step xors the byte into the state and multiplies by an odd
-/// prime (a bijection), so differing states never re-converge.
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
 }
 
 struct Cursor<'a> {

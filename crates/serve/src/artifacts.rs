@@ -13,18 +13,14 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use impatience_core::hash::fnv1a64;
 use impatience_obs::AtomicFile;
 
 use crate::error::ApiError;
 
 /// FNV-1a 64-bit, formatted like `impatience-exp` spec hashes.
 pub fn fnv1a_hash(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("fnv1a:{h:016x}")
+    format!("fnv1a:{:016x}", fnv1a64(bytes))
 }
 
 /// A directory of write-once, hash-addressed artifacts.

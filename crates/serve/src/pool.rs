@@ -4,16 +4,24 @@
 //! jobs, `threads` workers pop and run them. No async runtime — the
 //! repo's no-dependency discipline — and deliberately tiny: the only
 //! lifecycle is "submit until dropped, then drain and join".
+//!
+//! The handoff queue holds at most two jobs per worker thread: once it
+//! is full, `execute` blocks, so a saturated server stops accepting and
+//! leaves waiting connections in the kernel's listen backlog instead of
+//! queueing them in memory without bound.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Queued (not yet running) jobs allowed per worker thread.
+const QUEUE_PER_THREAD: usize = 2;
+
 /// A fixed pool of worker threads consuming closures in FIFO order.
 pub struct ThreadPool {
-    tx: Option<Sender<Job>>,
+    tx: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -21,7 +29,7 @@ impl ThreadPool {
     /// Spawn `threads` workers (clamped to at least 1).
     pub fn new(threads: usize, name: &str) -> ThreadPool {
         let threads = threads.max(1);
-        let (tx, rx) = channel::<Job>();
+        let (tx, rx) = sync_channel::<Job>(QUEUE_PER_THREAD * threads);
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..threads)
             .map(|i| {
@@ -38,7 +46,8 @@ impl ThreadPool {
         }
     }
 
-    /// Enqueue a job. Jobs submitted before drop are all executed.
+    /// Enqueue a job, blocking while the queue is full. Jobs submitted
+    /// before drop are all executed.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         if let Some(tx) = &self.tx {
             // Send fails only when every worker has exited, which only
@@ -88,5 +97,34 @@ mod tests {
             }
         } // drop joins the workers after the queue drains
         assert_eq!(done.load(Ordering::SeqCst), 64);
+    }
+
+    #[test]
+    fn a_full_queue_blocks_the_submitter() {
+        let (events_tx, events) = std::sync::mpsc::channel::<&str>();
+        let (started_tx, started) = sync_channel::<()>(0);
+        let (release, release_rx) = sync_channel::<()>(0);
+        let pool = ThreadPool::new(1, "test");
+        let freed = events_tx.clone();
+        pool.execute(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            freed.send("worker freed").unwrap();
+        });
+        started.recv().unwrap(); // the only worker is now busy
+        pool.execute(|| {});
+        pool.execute(|| {}); // the queue (2 × 1 thread) is now full
+        let (submitting_tx, submitting) = sync_channel::<()>(0);
+        let submitter = std::thread::spawn(move || {
+            submitting_tx.send(()).unwrap();
+            pool.execute(|| {});
+            events_tx.send("fourth submitted").unwrap();
+            pool
+        });
+        submitting.recv().unwrap();
+        release.send(()).unwrap();
+        drop(submitter.join().unwrap());
+        let order: Vec<&str> = events.try_iter().collect();
+        assert_eq!(order, ["worker freed", "fourth submitted"]);
     }
 }

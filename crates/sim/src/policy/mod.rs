@@ -9,7 +9,9 @@ mod qcr;
 mod static_alloc;
 
 pub use hill_climb::HillClimb;
-pub use qcr::{reaction_scale, Qcr, QcrConfig, Reaction};
+#[cfg(test)]
+pub(crate) use qcr::scenarios;
+pub use qcr::{MandateHost, MandatePool, Qcr, QcrConfig, QcrParams, Reaction};
 pub use static_alloc::StaticAllocation;
 
 use std::sync::Arc;
@@ -124,24 +126,16 @@ impl PolicyKind {
         rho: usize,
         demand: &impatience_core::demand::DemandRates,
     ) -> Box<dyn ReplicationPolicy> {
+        if let Some(params) =
+            QcrParams::for_policy(self, utility.clone(), servers, mu_ref, items, rho)
+        {
+            return Box::new(Qcr::new(params, nodes));
+        }
         match self {
-            PolicyKind::Qcr(cfg) => Box::new(Qcr::new(
-                cfg.clone(),
-                utility,
-                nodes,
-                servers,
-                mu_ref,
-                items,
-                rho,
-            )),
-            PolicyKind::Static { counts, .. } => Box::new(StaticAllocation::new(counts.clone())),
-            PolicyKind::Passive { replicas } => {
-                let cfg = QcrConfig {
-                    reaction: Reaction::Constant(*replicas),
-                    ..QcrConfig::default()
-                };
-                Box::new(Qcr::new(cfg, utility, nodes, servers, mu_ref, items, rho))
+            PolicyKind::Qcr(_) | PolicyKind::Passive { .. } => {
+                unreachable!("mandate policies are built above")
             }
+            PolicyKind::Static { counts, .. } => Box::new(StaticAllocation::new(counts.clone())),
             PolicyKind::HillClimb { moves_per_contact } => {
                 let mu = if mu_ref > 0.0 { mu_ref } else { 1.0 };
                 let system = if servers == nodes {

@@ -62,9 +62,9 @@
 //! materializes a population-sized demand profile (at 10⁶ nodes a
 //! uniform profile matrix would dwarf the node state itself).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use impatience_core::hash::{FNV64_OFFSET, FNV64_PRIME};
 use impatience_core::rng::{AliasTable, Xoshiro256};
 use impatience_core::types::SystemModel;
 use impatience_core::utility::DelayUtility;
@@ -75,8 +75,8 @@ use crate::contact_bin::{decode_record_unchecked, encode_record, DEFAULT_BATCH, 
 use crate::engine::TrialOutcome;
 use crate::faults::ContactDrop;
 use crate::metrics::Metrics;
-use crate::policy::{Fulfillment, PolicyKind, QcrConfig, Reaction};
-use crate::state::{CacheArena, RequestArena, SimState};
+use crate::policy::{Fulfillment, MandateHost, MandatePool, PolicyKind, QcrParams};
+use crate::state::{copy_into, CacheArena, RequestArena, SimState};
 
 /// Number of logical shards, fixed regardless of worker count: tasks are
 /// defined per logical shard, workers merely schedule them, which is what
@@ -448,13 +448,14 @@ impl LaneContacts {
 
 /// One shard's node-owned state: the block's caches, pending requests,
 /// per-item replica counts *within the block*, and QCR mandate pools
-/// (locally indexed).
+/// (locally indexed), plus a shared view of the trial's sticky seeds.
 struct ShardState {
     start: usize,
     len: usize,
     caches: CacheArena,
     replicas: Vec<u32>,
-    mandates: Vec<BTreeMap<u32, u64>>,
+    mandates: Vec<MandatePool>,
+    sticky_owner: Arc<[usize]>,
     requests: RequestArena<f64>,
     transmissions: u64,
 }
@@ -480,7 +481,7 @@ impl TaskCtx {
             fulfilled: Vec::new(),
             waits: Vec::new(),
             gains: Vec::new(),
-            digest: FNV_OFFSET,
+            digest: FNV64_OFFSET,
             contacts: 0,
             faults: Vec::new(),
         }
@@ -509,71 +510,8 @@ struct SimEnv {
     utility: Arc<dyn DelayUtility>,
     h_zero: f64,
     item_sampler: Option<AliasTable>,
-    sticky_owner: Vec<usize>,
-    mode: Mode,
-}
-
-enum Mode {
-    Qcr(QcrParams),
-    Static,
-}
-
-/// The shard-local port of [`crate::policy::Qcr`]: same reaction scaling,
-/// minting, execution and routing arithmetic, but mandate pools live on
-/// the shard states (so phase-A/B tasks own them) and all randomness
-/// comes from the owning task's policy RNG.
-struct QcrParams {
-    routing: bool,
-    rewriting: bool,
-    gain_scale: f64,
-    cap: u64,
-    reaction: Reaction,
-    scale: f64,
-    servers: f64,
-    mu_ref: f64,
-    utility: Arc<dyn DelayUtility>,
-}
-
-impl QcrParams {
-    /// Mirror of `Qcr::new`'s normalization (ψ reference scaling and
-    /// steepness damping) — kept in lockstep with the serial policy.
-    fn new(
-        cfg: &QcrConfig,
-        utility: Arc<dyn DelayUtility>,
-        servers: usize,
-        mu_ref: f64,
-        items: usize,
-        rho: usize,
-    ) -> Self {
-        assert!(cfg.gain_scale > 0.0, "gain scale must be positive");
-        let mu_ref = if mu_ref > 0.0 { mu_ref } else { 1.0 };
-        let mut scale = cfg.gain_scale;
-        if cfg.normalize_reaction {
-            if let Reaction::Psi = cfg.reaction {
-                let y_ref = (items as f64 / rho.max(1) as f64).max(1.0);
-                let psi_ref = utility.psi(y_ref, servers as f64, mu_ref);
-                if psi_ref.is_finite() && psi_ref > 0.0 {
-                    scale /= psi_ref;
-                    let psi_2ref = utility.psi(2.0 * y_ref, servers as f64, mu_ref);
-                    let r = psi_2ref / psi_ref;
-                    if r.is_finite() && r > 1.0 {
-                        scale /= r * r * r;
-                    }
-                }
-            }
-        }
-        QcrParams {
-            routing: cfg.mandate_routing,
-            rewriting: cfg.rewriting,
-            gain_scale: cfg.gain_scale,
-            cap: cfg.mandate_cap,
-            reaction: cfg.reaction,
-            scale,
-            servers: servers as f64,
-            mu_ref,
-            utility,
-        }
-    }
+    /// The QCR protocol, for mandate-driven policies.
+    qcr: Option<QcrParams>,
 }
 
 /// The one or two shard states a meeting touches, with node-id-keyed
@@ -608,41 +546,6 @@ impl Ends<'_> {
                     sa
                 }
             }
-        }
-    }
-
-    fn holds(&self, node: usize, item: u32) -> bool {
-        let s = self.state_of(node);
-        s.caches.holds(node - s.start, item)
-    }
-
-    fn pool(&self, node: usize) -> &BTreeMap<u32, u64> {
-        let s = self.state_of(node);
-        &s.mandates[node - s.start]
-    }
-
-    fn pool_mut(&mut self, node: usize) -> &mut BTreeMap<u32, u64> {
-        let s = self.state_of_mut(node);
-        let local = node - s.start;
-        &mut s.mandates[local]
-    }
-
-    /// Copy `item` into `node`'s cache with random replacement, keeping
-    /// the owning shard's replica and transmission books — the port of
-    /// [`SimState::replicate`].
-    fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool {
-        let s = self.state_of_mut(node);
-        let local = node - s.start;
-        match s.caches.node_mut(local).insert_evict(item, rng) {
-            Ok(evicted) => {
-                s.replicas[item as usize] += 1;
-                if let Some(old) = evicted {
-                    s.replicas[old as usize] -= 1;
-                }
-                s.transmissions += 1;
-                true
-            }
-            Err(()) => false,
         }
     }
 
@@ -695,6 +598,35 @@ impl Ends<'_> {
     }
 }
 
+impl MandateHost for Ends<'_> {
+    fn holds(&self, node: usize, item: u32) -> bool {
+        let s = self.state_of(node);
+        s.caches.holds(node - s.start, item)
+    }
+
+    fn replicate(&mut self, node: usize, item: u32, rng: &mut Xoshiro256) -> bool {
+        let s = self.state_of_mut(node);
+        let cache = s.caches.node_mut(node - s.start);
+        copy_into(cache, item, &mut s.replicas, &mut s.transmissions, rng)
+    }
+
+    fn pool(&self, node: usize) -> &MandatePool {
+        let s = self.state_of(node);
+        &s.mandates[node - s.start]
+    }
+
+    fn pool_mut(&mut self, node: usize) -> &mut MandatePool {
+        let s = self.state_of_mut(node);
+        let local = node - s.start;
+        &mut s.mandates[local]
+    }
+
+    fn sticky_owner(&self, item: u32) -> usize {
+        let (Ends::One(s) | Ends::Two(s, _)) = self;
+        s.sticky_owner[item as usize]
+    }
+}
+
 /// The retain body shared by both `Ends` variants.
 fn keep_or_fulfill(
     cache_m: crate::state::CacheRef<'_>,
@@ -722,12 +654,10 @@ fn keep_or_fulfill(
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
+/// One word-wise FNV-1a step of the event digest.
 #[inline]
-fn fnv(mut h: u64, x: u64) -> u64 {
-    h ^= x;
-    h.wrapping_mul(0x0000_0100_0000_01b3)
+fn fnv(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV64_PRIME)
 }
 
 /// Process one admitted meeting: exchange, gains, then the policy step.
@@ -758,141 +688,8 @@ fn process_meeting(
         fnv(fnv(fnv(ctx.digest, time.to_bits()), a as u64), b as u64),
         ctx.fulfilled.len() as u64,
     );
-    if let Mode::Qcr(p) = &env.mode {
-        for i in 0..ctx.fulfilled.len() {
-            let f = ctx.fulfilled[i];
-            mint(p, ends, f.node, f.item, f.queries, ctx);
-        }
-        execute(p, ends, a, b, ctx);
-        execute(p, ends, b, a, ctx);
-        if p.routing {
-            route(p, ends, a, b, ctx, &env.sticky_owner);
-        }
-    }
-}
-
-/// Port of `Qcr::mint` (reaction, stochastic rounding, caps).
-fn mint(
-    p: &QcrParams,
-    ends: &mut Ends<'_>,
-    node: usize,
-    item: u32,
-    queries: u64,
-    ctx: &mut TaskCtx,
-) {
-    if queries == 0 {
-        return;
-    }
-    let raw = match p.reaction {
-        Reaction::Psi => p.utility.psi(queries as f64, p.servers, p.mu_ref) * p.scale,
-        Reaction::Constant(k) => k * p.gain_scale,
-    };
-    if raw.is_nan() || raw <= 0.0 {
-        return;
-    }
-    let mut count = raw.floor() as u64;
-    if ctx.rng.bernoulli(raw - count as f64) {
-        count += 1;
-    }
-    if count > p.cap {
-        ctx.metrics.mandate_cap_hits += 1;
-        count = p.cap;
-    }
-    if count > 0 {
-        let cap = p.cap;
-        let pool = ends.pool_mut(node).entry(item).or_insert(0);
-        let before = *pool;
-        *pool = (*pool + count).min(cap);
-        ctx.metrics.mandates_created += *pool - before;
-    }
-}
-
-/// Port of `Qcr::execute`: the carrier's mandates fire only while it
-/// still possesses the item; peers already holding it stall the mandate
-/// (or burn it under rewriting).
-fn execute(p: &QcrParams, ends: &mut Ends<'_>, carrier: usize, peer: usize, ctx: &mut TaskCtx) {
-    let items: Vec<u32> = ends.pool(carrier).keys().copied().collect();
-    for item in items {
-        if !ends.holds(carrier, item) {
-            continue;
-        }
-        if ends.holds(peer, item) {
-            if p.rewriting {
-                consume(ends.pool_mut(carrier), item);
-            }
-            continue;
-        }
-        if ends.replicate(peer, item, &mut ctx.rng) {
-            consume(ends.pool_mut(carrier), item);
-        }
-    }
-}
-
-fn consume(pool: &mut BTreeMap<u32, u64>, item: u32) {
-    if let Some(c) = pool.get_mut(&item) {
-        *c = c.saturating_sub(1);
-        if *c == 0 {
-            pool.remove(&item);
-        }
-    }
-}
-
-/// Port of `Qcr::route`: mandates migrate toward replica holders,
-/// preferring the sticky seed with a 2/3 share.
-fn route(
-    p: &QcrParams,
-    ends: &mut Ends<'_>,
-    a: usize,
-    b: usize,
-    ctx: &mut TaskCtx,
-    sticky_owner: &[usize],
-) {
-    let mut items: Vec<u32> = ends
-        .pool(a)
-        .keys()
-        .chain(ends.pool(b).keys())
-        .copied()
-        .collect();
-    items.sort_unstable();
-    items.dedup();
-    for item in items {
-        let total = (ends.pool(a).get(&item).copied().unwrap_or(0)
-            + ends.pool(b).get(&item).copied().unwrap_or(0))
-        .min(p.cap);
-        if total == 0 {
-            continue;
-        }
-        let ha = ends.holds(a, item);
-        let hb = ends.holds(b, item);
-        let sticky = sticky_owner[item as usize];
-        let to_a = match (ha, hb) {
-            (true, false) => total,
-            (false, true) => 0,
-            _ => {
-                if ha && sticky == a {
-                    (total * 2).div_ceil(3)
-                } else if hb && sticky == b {
-                    total - (total * 2).div_ceil(3)
-                } else {
-                    let half = total / 2;
-                    if total % 2 == 1 && ctx.rng.bernoulli(0.5) {
-                        half + 1
-                    } else {
-                        half
-                    }
-                }
-            }
-        };
-        set_pool(ends.pool_mut(a), item, to_a);
-        set_pool(ends.pool_mut(b), item, total - to_a);
-    }
-}
-
-fn set_pool(pool: &mut BTreeMap<u32, u64>, item: u32, count: u64) {
-    if count == 0 {
-        pool.remove(&item);
-    } else {
-        pool.insert(item, count);
+    if let Some(qcr) = &env.qcr {
+        qcr.meet(ends, a, b, &ctx.fulfilled, &mut ctx.metrics, &mut ctx.rng);
     }
 }
 
@@ -1103,37 +900,13 @@ pub fn run_trial_sharded(
     policy_obj.initialize(&mut global, &mut master);
     drop(policy_obj);
     let label = policy.label();
-    let mode = match &policy {
-        PolicyKind::Qcr(cfg) => Mode::Qcr(QcrParams::new(
-            cfg,
-            protocol_utility.clone(),
-            nodes,
-            mu,
-            items,
-            rho,
-        )),
-        PolicyKind::Passive { replicas } => {
-            let cfg = QcrConfig {
-                reaction: Reaction::Constant(*replicas),
-                ..QcrConfig::default()
-            };
-            Mode::Qcr(QcrParams::new(
-                &cfg,
-                protocol_utility,
-                nodes,
-                mu,
-                items,
-                rho,
-            ))
-        }
-        PolicyKind::Static { .. } => Mode::Static,
-        PolicyKind::HillClimb { .. } => unreachable!("validated"),
-    };
+    let qcr = QcrParams::for_policy(&policy, protocol_utility, nodes, mu, items, rho);
     let SimState {
         caches,
         sticky_owner,
         ..
     } = global;
+    let sticky_owner: Arc<[usize]> = sticky_owner.into();
     let sizes: Vec<usize> = blocks.iter().map(|&(_, len)| len).collect();
     let arenas = caches.split_into_blocks(&sizes);
 
@@ -1142,8 +915,7 @@ pub fn run_trial_sharded(
         utility: config.utility.clone(),
         h_zero: config.utility.h_zero(),
         item_sampler: (total_rate > 0.0).then(|| AliasTable::new(config.demand.rates())),
-        sticky_owner,
-        mode,
+        qcr,
     };
 
     // ---- build tasks ----
@@ -1175,7 +947,8 @@ pub fn run_trial_sharded(
                 len,
                 caches: arena,
                 replicas,
-                mandates: vec![BTreeMap::new(); len],
+                mandates: vec![MandatePool::new(); len],
+                sticky_owner: Arc::clone(&sticky_owner),
                 requests,
                 transmissions: 0,
             },
@@ -1352,7 +1125,7 @@ pub fn run_trial_sharded(
     let _settle_span = impatience_obs::span!("settle");
     let h_inf = config.utility.h_infinity();
     let mut final_replicas = vec![0u32; items];
-    let mut event_digest = FNV_OFFSET;
+    let mut event_digest = FNV64_OFFSET;
     let mut contacts_processed = 0;
     let mut fault_log = boundary_faults;
     for sh in shards.iter_mut() {
@@ -1398,9 +1171,63 @@ pub fn run_trial_sharded(
 mod tests {
     use super::*;
     use crate::faults::{CacheFaults, Churn, FaultConfig};
+    use crate::policy::scenarios::{self, Scenario};
     use impatience_core::demand::Popularity;
     use impatience_core::prelude::uniform;
     use impatience_core::utility::Step;
+
+    /// A shard block `start..start + 2` for the shared QCR scenarios:
+    /// scenario end `e` (if any) sits at `ends[e]`, a local index.
+    fn scenario_block(
+        s: &Scenario,
+        start: usize,
+        ends: [Option<usize>; 2],
+        sticky_owner: &Arc<[usize]>,
+    ) -> ShardState {
+        let mut caches = CacheArena::new(2, 2, 2);
+        let mut replicas = vec![0; scenarios::ITEMS];
+        for (e, local) in ends.iter().enumerate() {
+            if let Some(local) = *local {
+                s.load_cache(e, caches.node_mut(local));
+                for &item in s.caches[e] {
+                    replicas[item as usize] += 1;
+                }
+            }
+        }
+        let mut requests = RequestArena::new();
+        requests.reset(2);
+        ShardState {
+            start,
+            len: 2,
+            caches,
+            replicas,
+            mandates: vec![MandatePool::new(); 2],
+            sticky_owner: Arc::clone(sticky_owner),
+            requests,
+            transmissions: 0,
+        }
+    }
+
+    #[test]
+    fn qcr_scenarios_within_one_block() {
+        for s in scenarios::SCENARIOS {
+            let sticky: Arc<[usize]> = s.sticky_owners([0, 1]).into();
+            let mut block = scenario_block(s, 0, [Some(0), Some(1)], &sticky);
+            s.check(&mut Ends::One(&mut block), [0, 1]);
+        }
+    }
+
+    #[test]
+    fn qcr_scenarios_across_two_blocks() {
+        // End 0 is node 1 (the last of block 0..2), end 1 is node 2 (the
+        // first of block 2..4): both local-index offsets are exercised.
+        for s in scenarios::SCENARIOS {
+            let sticky: Arc<[usize]> = s.sticky_owners([1, 2]).into();
+            let mut low = scenario_block(s, 0, [Some(1), None], &sticky);
+            let mut high = scenario_block(s, 2, [None, Some(0)], &sticky);
+            s.check(&mut Ends::Two(&mut low, &mut high), [1, 2]);
+        }
+    }
 
     fn small_config(items: usize, rho: usize) -> SimConfig {
         SimConfig::builder(items, rho)

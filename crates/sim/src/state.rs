@@ -782,17 +782,38 @@ impl SimState {
     /// Copy `item` into `to`'s cache with random replacement (respecting
     /// sticky slots). Returns `true` if a new replica was created.
     pub fn replicate(&mut self, item: u32, to: usize, rng: &mut Xoshiro256) -> bool {
-        match self.caches.node_mut(to).insert_evict(item, rng) {
-            Ok(evicted) => {
-                self.replicas[item as usize] += 1;
-                if let Some(old) = evicted {
-                    self.replicas[old as usize] -= 1;
-                }
-                self.transmissions += 1;
-                true
+        let cache = self.caches.node_mut(to);
+        copy_into(
+            cache,
+            item,
+            &mut self.replicas,
+            &mut self.transmissions,
+            rng,
+        )
+    }
+}
+
+/// Copy `item` into `cache` with random replacement, keeping the replica
+/// and transmission books; `true` if a new replica was created. Shared by
+/// [`SimState::replicate`] and the sharded engine's per-block copies.
+#[inline]
+pub(crate) fn copy_into(
+    mut cache: CacheMut<'_>,
+    item: u32,
+    replicas: &mut [u32],
+    transmissions: &mut u64,
+    rng: &mut Xoshiro256,
+) -> bool {
+    match cache.insert_evict(item, rng) {
+        Ok(evicted) => {
+            replicas[item as usize] += 1;
+            if let Some(old) = evicted {
+                replicas[old as usize] -= 1;
             }
-            Err(()) => false,
+            *transmissions += 1;
+            true
         }
+        Err(()) => false,
     }
 }
 
