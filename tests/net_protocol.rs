@@ -4,14 +4,17 @@
 //! engine (bit-identical trajectories with or without it attached); the
 //! distributed batch is deterministic per seed and independent of the
 //! worker count; message loss degrades welfare boundedly instead of
-//! wedging; and the clean-transport runtime statistically matches the
-//! engine under the oracle's paired-seed differential.
+//! wedging; the clean-transport runtime statistically matches the
+//! engine under the oracle's paired-seed differential; and literal
+//! goldens pin every counter, ledger term, replica count and rate of a
+//! lossy and a clean batch, so a kernel refactor must stay bit-identical.
 
 use std::sync::Arc;
 
 use impatience_core::demand::Popularity;
+use impatience_core::hash::fnv1a64;
 use impatience_core::utility::Step;
-use impatience_net::{run_net_trials_observed, Msg, NetConfig, WireError};
+use impatience_net::{run_net_trial, run_net_trials_observed, Msg, NetConfig, WireError};
 use impatience_obs::Recorder;
 use impatience_oracle::net_vs_engine;
 use impatience_sim::config::{ContactSource, SimConfig};
@@ -217,4 +220,85 @@ fn clean_transport_matches_engine_within_clt_budget() {
         "distributed QCR diverged from the engine: {}",
         cmp.describe()
     );
+}
+
+// ------------------------------------------------------ literal goldens
+
+/// fnv1a64 over the little-endian bits of a float series.
+fn series_hash(xs: impl IntoIterator<Item = f64>) -> u64 {
+    let bytes: Vec<u8> = xs.into_iter().flat_map(f64::to_le_bytes).collect();
+    fnv1a64(&bytes)
+}
+
+/// Everything a batch reports, as one string: counters, the mandate
+/// audit, mean final replicas, and hashes of the per-trial mean rates
+/// and of every trial's observed-rate series.
+fn fingerprint(config: &SimConfig, source: &ContactSource, workers: usize) -> String {
+    let (trials, base) = (4, 42);
+    let net = NetConfig::default();
+    let agg = run_net_trials_observed(
+        config,
+        source,
+        &net,
+        trials,
+        base,
+        Some(workers),
+        &mut Recorder::disabled(),
+    )
+    .expect("batch must conserve");
+    let series = (0..trials as u64).flat_map(|k| {
+        run_net_trial(config, source, &net, base + k)
+            .expect("trial must conserve")
+            .metrics
+            .observed_rate_series()
+    });
+    format!(
+        "{:?} {:?} replicas {:?} rates {:#018x} series {:#018x}",
+        agg.stats,
+        agg.conservation,
+        agg.mean_final_replicas,
+        series_hash(agg.rates.iter().copied()),
+        series_hash(series),
+    )
+}
+
+/// The benchmark's lossy mix (10 % loss, 2 % duplication, reorder
+/// window 3, no churn) on a small population.
+#[test]
+fn lossy_batch_matches_its_golden_at_1_and_2_workers() {
+    let config = with_msg_faults(
+        small_config(10, 2),
+        MsgFaults {
+            loss_p: 0.10,
+            dup_p: 0.02,
+            reorder_window: 3,
+        },
+    );
+    let source = ContactSource::homogeneous(16, 0.05, 800.0);
+    let golden = "NetStats { msgs_sent: 69218, msgs_delivered: 63377, msgs_lost: 6946, \
+                  msgs_duplicated: 1292, transport_closed: 187, retries: 8429, ack_timeouts: 0, \
+                  handshake_timeouts: 158, handoffs_started: 972, handoffs_applied: 502, \
+                  acks_received: 969, execs_applied: 468, crashes: 0, restarts: 0, stalls: 0, \
+                  requests_expired: 0, heartbeats: 404 } \
+                  Conservation { minted: 471, executed: 468, discarded: 0, pooled: 1, escrowed: 2 } \
+                  replicas [5.75, 5.0, 2.75, 2.75, 3.25, 2.5, 2.75, 2.75, 1.75, 2.75] \
+                  rates 0x0a7fc39549f91b4c series 0x3940de2fd0c503b0";
+    assert_eq!(fingerprint(&config, &source, 1), golden, "1 worker");
+    assert_eq!(fingerprint(&config, &source, 2), golden, "2 workers");
+}
+
+#[test]
+fn clean_batch_matches_its_golden_at_1_and_2_workers() {
+    let config = small_config(10, 2);
+    let source = ContactSource::homogeneous(16, 0.05, 800.0);
+    let golden = "NetStats { msgs_sent: 42492, msgs_delivered: 42492, msgs_lost: 0, \
+                  msgs_duplicated: 0, transport_closed: 0, retries: 114, ack_timeouts: 0, \
+                  handshake_timeouts: 0, handoffs_started: 1039, handoffs_applied: 542, \
+                  acks_received: 1039, execs_applied: 497, crashes: 0, restarts: 0, stalls: 0, \
+                  requests_expired: 0, heartbeats: 404 } \
+                  Conservation { minted: 498, executed: 497, discarded: 0, pooled: 1, escrowed: 0 } \
+                  replicas [6.5, 4.75, 3.25, 3.0, 2.75, 2.5, 2.0, 2.75, 2.5, 2.0] \
+                  rates 0xccaa9a864cee607f series 0x2b6ca28fb81d8f04";
+    assert_eq!(fingerprint(&config, &source, 1), golden, "1 worker");
+    assert_eq!(fingerprint(&config, &source, 2), golden, "2 workers");
 }
