@@ -27,6 +27,9 @@
 //! agreement within the differential oracle's CLT budget.
 
 #![warn(missing_docs)]
+#![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod config;
 pub mod error;

@@ -107,6 +107,48 @@ pub(crate) struct Exchange {
     pub dup_resends: u32,
 }
 
+/// Open window exchanges keyed by peer. A node has a small fraction of
+/// a window open on average, so this is a short list scanned by peer;
+/// it is never iterated, so entry order does not matter.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Exchanges(Vec<(u32, Exchange)>);
+
+impl Exchanges {
+    fn slot(&self, peer: u32) -> Option<usize> {
+        self.0.iter().position(|(p, _)| *p == peer)
+    }
+
+    /// Open an exchange with `peer`, replacing any older one.
+    pub(crate) fn insert(&mut self, peer: u32, ex: Exchange) {
+        match self.slot(peer) {
+            Some(i) => self.0[i].1 = ex,
+            None => self.0.push((peer, ex)),
+        }
+    }
+
+    pub(crate) fn get(&self, peer: u32) -> Option<&Exchange> {
+        self.slot(peer).map(|i| &self.0[i].1)
+    }
+
+    pub(crate) fn get_mut(&mut self, peer: u32) -> Option<&mut Exchange> {
+        self.slot(peer).map(|i| &mut self.0[i].1)
+    }
+
+    /// Remove the exchange with `peer` if it belongs to `window`; a
+    /// newer exchange that replaced it stays.
+    pub(crate) fn close(&mut self, peer: u32, window: u64) -> Option<Exchange> {
+        let i = self
+            .0
+            .iter()
+            .position(|(p, ex)| *p == peer && ex.window == window)?;
+        Some(self.0.swap_remove(i).1)
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Everything a handler may touch outside the node itself.
 pub(crate) struct Ctx<'a, S: Sink> {
     /// Current simulation time.
@@ -166,7 +208,7 @@ pub(crate) struct Node {
     /// Outstanding requests.
     pub pending: Vec<PendingReq>,
     /// Open window exchanges by peer.
-    pub exchanges: BTreeMap<u32, Exchange>,
+    pub exchanges: Exchanges,
     /// Last volatile checkpoint (what a restart recovers).
     pub ckpt_pending: Vec<PendingReq>,
 }
@@ -183,7 +225,7 @@ impl Node {
             escrow: BTreeMap::new(),
             applied: BTreeMap::new(),
             pending: Vec::new(),
-            exchanges: BTreeMap::new(),
+            exchanges: Exchanges::default(),
             ckpt_pending: Vec::new(),
         }
     }
@@ -234,13 +276,9 @@ impl Node {
 
     /// The window to `peer` closed (link down or peer churned away).
     pub(crate) fn on_link_down<S: Sink>(&mut self, ctx: &mut Ctx<'_, S>, peer: u32, window: u64) {
-        let Some(ex) = self.exchanges.get(&peer) else {
-            return;
+        let Some(ex) = self.exchanges.close(peer, window) else {
+            return; // gone already, or a newer exchange replaced it
         };
-        if ex.window != window {
-            return; // a newer exchange replaced it
-        }
-        let ex = self.exchanges.remove(&peer).expect("checked above");
         if !ex.advert_seen {
             ctx.stats.handshake_timeouts += 1;
             ctx.rec.fault(ctx.t, "net_handshake_timeout", self.id, peer);
@@ -293,7 +331,7 @@ impl Node {
         mut items: Vec<u32>,
         mandates: Vec<(u32, u64)>,
     ) {
-        let Some(ex) = self.exchanges.get_mut(&from) else {
+        let Some(ex) = self.exchanges.get_mut(from) else {
             return; // stale: the window already closed here
         };
         if ex.window != window {
@@ -349,14 +387,14 @@ impl Node {
 
     fn peer_holds(&self, peer: u32, item: u32) -> bool {
         self.exchanges
-            .get(&peer)
+            .get(peer)
             .map(|ex| ex.peer_items.binary_search(&item).is_ok())
             .unwrap_or(false)
     }
 
     fn peer_pool(&self, peer: u32, item: u32) -> u64 {
         self.exchanges
-            .get(&peer)
+            .get(peer)
             .and_then(|ex| {
                 ex.peer_mandates
                     .iter()
@@ -418,7 +456,9 @@ impl Node {
         execute: bool,
     ) {
         debug_assert!(count > 0);
-        let pool = self.pool.get_mut(&item).expect("escrow from pooled item");
+        let Some(pool) = self.pool.get_mut(&item) else {
+            return; // unreachable: callers escrow pooled mandates only
+        };
         debug_assert!(*pool >= count);
         *pool -= count;
         if *pool == 0 {
@@ -512,7 +552,7 @@ impl Node {
         window: u64,
         grants: Vec<u32>,
     ) {
-        if let Some(ex) = self.exchanges.get_mut(&from) {
+        if let Some(ex) = self.exchanges.get_mut(from) {
             if ex.window == window {
                 ex.fulfill_seen = true;
             }
@@ -547,7 +587,7 @@ impl Node {
                 );
             }
             // The granting peer certainly holds the item now.
-            if let Some(ex) = self.exchanges.get_mut(&from) {
+            if let Some(ex) = self.exchanges.get_mut(from) {
                 if ex.window == window {
                     if let Err(pos) = ex.peer_items.binary_search(&item) {
                         ex.peer_items.insert(pos, item);
@@ -616,7 +656,7 @@ impl Node {
                 if !link_up {
                     return;
                 }
-                let Some(ex) = self.exchanges.get_mut(&peer) else {
+                let Some(ex) = self.exchanges.get_mut(peer) else {
                     return;
                 };
                 if ex.window != window || ex.retries >= 6 {
@@ -711,5 +751,67 @@ impl Node {
             }
         });
         expired
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ex(window: u64, retries: u32) -> Exchange {
+        Exchange {
+            window,
+            retries,
+            ..Exchange::default()
+        }
+    }
+
+    #[test]
+    fn an_exchange_is_replaced_per_peer() {
+        let mut table = Exchanges::default();
+        table.insert(4, ex(1, 0));
+        table.insert(9, ex(2, 0));
+        table.insert(4, ex(3, 0));
+        assert_eq!(table.get(4).map(|e| e.window), Some(3));
+        assert_eq!(table.get(9).map(|e| e.window), Some(2));
+        assert_eq!(table.0.len(), 2, "one exchange per peer");
+        if let Some(e) = table.get_mut(9) {
+            e.retries = 5;
+        }
+        assert_eq!(table.get(9).map(|e| e.retries), Some(5));
+        assert!(table.get(7).is_none() && table.get_mut(7).is_none());
+    }
+
+    #[test]
+    fn closing_a_replaced_window_keeps_the_newer_exchange() {
+        let mut table = Exchanges::default();
+        table.insert(4, ex(1, 2));
+        table.insert(4, ex(3, 0));
+        assert!(table.close(4, 1).is_none(), "stale window");
+        assert_eq!(table.get(4).map(|e| e.window), Some(3));
+        assert_eq!(table.close(4, 3).map(|e| e.window), Some(3));
+        assert!(table.get(4).is_none());
+        assert!(table.close(4, 3).is_none(), "already removed");
+        table.insert(4, ex(8, 0));
+        assert_eq!(table.get(4).map(|e| (e.window, e.retries)), Some((8, 0)));
+    }
+
+    #[test]
+    fn removal_leaves_the_other_peers_alone() {
+        let mut table = Exchanges::default();
+        for peer in 0..5 {
+            table.insert(peer, ex(u64::from(peer) + 10, 0));
+        }
+        assert!(table.close(1, 11).is_some());
+        table.clear();
+        assert!((0..5).all(|p| table.get(p).is_none()));
+        table.insert(2, ex(20, 0));
+        for peer in [0, 3, 4] {
+            table.insert(peer, ex(u64::from(peer) + 30, 0));
+        }
+        assert!(table.close(0, 30).is_some());
+        for (peer, window) in [(2, 20), (3, 33), (4, 34)] {
+            assert_eq!(table.get(peer).map(|e| e.window), Some(window));
+        }
     }
 }

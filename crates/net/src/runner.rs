@@ -201,7 +201,11 @@ fn shard<T: Send>(trials: usize, workers: usize, job: &(dyn Fn(usize) -> T + Syn
         }
         let mut all: Vec<(usize, T)> = Vec::with_capacity(trials);
         for handle in handles {
-            all.extend(handle.join().expect("net trial thread panicked"));
+            match handle.join() {
+                Ok(local) => all.extend(local),
+                // A trial panicked: re-raise it on the caller's thread.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
         all.sort_by_key(|(k, _)| *k);
         all.into_iter().map(|(_, r)| r).collect()
