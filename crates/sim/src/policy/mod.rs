@@ -12,6 +12,7 @@ pub use hill_climb::HillClimb;
 #[cfg(test)]
 pub(crate) use qcr::scenarios;
 pub use qcr::{MandateHost, MandatePool, Qcr, QcrConfig, QcrParams, Reaction};
+pub(crate) use static_alloc::load_counts;
 pub use static_alloc::StaticAllocation;
 
 use std::sync::Arc;

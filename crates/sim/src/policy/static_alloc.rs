@@ -11,7 +11,7 @@ use impatience_core::rng::Xoshiro256;
 
 use crate::metrics::Metrics;
 use crate::policy::{Fulfillment, ReplicationPolicy};
-use crate::state::SimState;
+use crate::state::{load_allocation, NodeCaches, SimState};
 
 /// Pin caches to a fixed replica-count allocation.
 pub struct StaticAllocation {
@@ -27,20 +27,7 @@ impl StaticAllocation {
 
 impl ReplicationPolicy for StaticAllocation {
     fn initialize(&mut self, state: &mut SimState, rng: &mut Xoshiro256) {
-        assert_eq!(self.counts.items(), state.items(), "catalog size mismatch");
-        assert_eq!(
-            self.counts.servers(),
-            state.servers(),
-            "allocation is over a different server population"
-        );
-        let rho = state
-            .caches
-            .iter()
-            .map(|c| c.capacity())
-            .max()
-            .expect("at least one node");
-        let alloc = AllocationMatrix::from_counts_shuffled(&self.counts, rho, rng);
-        state.load_allocation(&alloc);
+        load_counts(state, &self.counts, rng);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -57,6 +44,23 @@ impl ReplicationPolicy for StaticAllocation {
         // Perfect control channel: the allocation is already where it
         // should be; meetings only fulfill requests.
     }
+}
+
+/// Pin `caches` to a fresh random placement of `counts` (one shuffle of
+/// the server order per trial) — the fixed-allocation initializer of both
+/// the serial and the sharded engine.
+pub(crate) fn load_counts<C: NodeCaches + ?Sized>(
+    caches: &mut C,
+    counts: &ReplicaCounts,
+    rng: &mut Xoshiro256,
+) {
+    assert_eq!(counts.items(), caches.items(), "catalog size mismatch");
+    let rho = (0..caches.nodes())
+        .map(|n| caches.capacity_of(n))
+        .max()
+        .expect("at least one node");
+    let alloc = AllocationMatrix::from_counts_shuffled(counts, rho, rng);
+    load_allocation(caches, &alloc);
 }
 
 #[cfg(test)]

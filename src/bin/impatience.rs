@@ -58,7 +58,7 @@ use impatience_sim::policy::PolicyKind;
 use impatience_sim::runner::{
     run_trials_observed_with_workers, run_trials_sharded, CampaignOutcome,
 };
-use impatience_sim::sharded::LOGICAL_SHARDS;
+use impatience_sim::sharded::{epoch_threads, phase_shares, LOGICAL_SHARDS};
 use impatience_traces::gen::{ConferenceConfig, VehicularConfig};
 use impatience_traces::{read_trace_file, write_trace, TraceError};
 
@@ -300,7 +300,7 @@ USAGE:
   impatience verify   [--quick|--full] [--seed N] [-o FILE] [--trace-out FILE] [--limit N]
                       [--profile]
   impatience verify   --solver-deltas [--quick] [--seed N]
-  impatience reproduce [SPEC..] [--fig N | --all] [--list] [--check] [--resume]
+  impatience reproduce [SPEC.. | --fig N | --all] [--list] [--check] [--resume]
                        [--specs DIR] [-o DIR] [--workers N] [--trace-out FILE] [--verbose]
                        [--profile]
   impatience trace    summarize FILE [--top K]
@@ -452,7 +452,7 @@ REPRODUCTION (reproduce; deterministic, seeds live in the specs):
   and writes each results/NAME.csv atomically with a provenance manifest
   sibling (spec hash, seeds, trials, git revision) at
   NAME.manifest.json. Select specs by name (`reproduce fig4 table1`), by
-  figure (`--fig 4`), or all of them (`--all`).
+  figure (`--fig 4`), or all of them (`--all`) — one of the three.
   --list             show every spec with its outputs instead of running
   --check            regenerate into a scratch directory and byte-compare
                      against the committed CSVs; any drift exits 11
@@ -1222,8 +1222,12 @@ fn simulate_sharded(args: &Args) -> Result<(), CliError> {
     let agg = run_trials_sharded(&config, &source, &policy, trials, seed, Some(shards))?;
 
     report(&agg.aggregate, None, trials, &utility, verbose);
+    let threads = match epoch_threads(&config, &source, shards) {
+        1 => "inline".to_string(),
+        n => format!("{n} threads an epoch"),
+    };
     println!(
-        "  shard workers         : {:>10} ({LOGICAL_SHARDS} logical shards)",
+        "  shard workers         : {:>10} ({LOGICAL_SHARDS} logical shards, {threads})",
         shards
     );
     println!("  contacts processed    : {:>10}", agg.contacts_processed);
@@ -1239,7 +1243,11 @@ fn simulate_sharded(args: &Args) -> Result<(), CliError> {
         println!("  peak RSS              : {:>10.1} MiB", kb as f64 / 1024.0);
     }
     if profiling {
-        emit_profile(&Recorder::disabled(), None, None)?;
+        let report = impatience_obs::span::take_report();
+        print!("{}", report.render());
+        if let Some(split) = phase_shares(&report) {
+            println!("{split}");
+        }
     }
     Ok(())
 }
@@ -2075,6 +2083,14 @@ fn reproduce(args: &Args, invocation: &[String]) -> Result<(), CliError> {
         .get("specs")
         .map(String::as_str)
         .unwrap_or("experiments");
+    let selectors = [
+        !args.positional.is_empty(),
+        args.options.contains_key("fig"),
+        args.options.contains_key("all"),
+    ];
+    if selectors.iter().filter(|&&given| given).count() > 1 {
+        return Err("reproduce selects by spec names, --fig N or --all: give only one".into());
+    }
     let profile = args.options.contains_key("profile");
     if profile {
         impatience_obs::span::enable();
